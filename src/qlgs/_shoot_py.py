@@ -1,10 +1,11 @@
 """Pure-Python fixed-step integrator for the radial profile equation.
 
-Fallback used when the compiled extension is unavailable.  Mirrors the
-arithmetic of _shoot_cy step for step so both backends agree to rounding.
+Fallback used when the compiled extension is unavailable, and the reference
+the compiled kernel is tested against.  Mirrors the arithmetic of _shoot_c
+operation for operation, so both backends give bit-identical trajectories.
 """
 
-from math import fabs, isfinite, pow as _pow
+from math import fabs, inf, isfinite, pow as _pow
 
 REACHED_END = 0
 CROSSED_ZERO = 1
@@ -29,7 +30,14 @@ def integrate(amplitude, dim, expo, omega, h, n_steps, quasilinear,
 
     def accel(r, u, v):
         au = fabs(u)
-        pw = _pow(au, em1) * u if au > 0.0 else 0.0
+        pw = 0.0
+        if au > 0.0:
+            try:
+                pw = _pow(au, em1) * u
+            except OverflowError:
+                # C's pow returns inf here; carry it on so the step ends
+                # NONFINITE, as in the compiled kernel.
+                pw = inf * u
         if quasilinear:
             g = (omega * u - pw - 2.0 * u * v * v) / (1.0 + 2.0 * u * u)
         else:

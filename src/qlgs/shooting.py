@@ -1,8 +1,9 @@
 """Shooting + bisection machinery for radial profile equations.
 
-Backend selection: the compiled kernel (qlgs._shoot_cy) is used when it is
+Backend selection: the compiled C kernel (qlgs._shoot_c) is used when it is
 importable, otherwise the pure-Python twin.  Set QLGS_FORCE_PYTHON=1 to force
-the fallback.  Both expose the same integrate() contract.
+the fallback.  Both expose the same integrate() contract and produce
+bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ if os.environ.get("QLGS_FORCE_PYTHON"):
     BACKEND = "python"
 else:
     try:
-        from . import _shoot_cy as _impl  # type: ignore[attr-defined]
+        from . import _shoot_c as _impl  # type: ignore[attr-defined]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         _impl = _shoot_py
         BACKEND = "python"
